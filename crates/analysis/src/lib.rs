@@ -71,7 +71,7 @@ pub use classify::{
     SiteClass,
 };
 pub use const_prop::{AbsVal, ConstProp, Env, FuncValues};
-pub use cost::{static_cost, CostError, CostReport, SiteCost};
+pub use cost::{replay_static, static_cost, CostError, CostReport, SiteCost};
 pub use diag::{
     count_by_severity, has_errors, AnalysisDiag, DiagCode, LintConfig, LintLevel, Severity,
 };

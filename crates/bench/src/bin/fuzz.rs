@@ -1,6 +1,7 @@
 //! Release-scale differential fuzzing of the pipeline: deterministic
 //! random loop programs through `run_pipeline` with every gate and the
-//! dynamic backstop armed, asserting no panic and execution equivalence.
+//! dynamic backstop armed, asserting no panic, execution equivalence, and
+//! that the compiled trace replay scores the shipped program exactly.
 //!
 //! The tier-1 test `tests/fuzz_pipeline.rs` runs a bounded slice of this
 //! harness; this bin runs thousands of iterations in release mode and is
@@ -19,7 +20,14 @@ use std::time::Instant;
 
 use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl_bench::json;
+use brepl_core::ReplicatedProgram;
+use brepl_ir::Module;
 use brepl_workloads::synth::random_loop_module;
+
+/// The instruction-by-instruction replay walker the integration tests
+/// hold the compiled replay to.
+#[path = "../../../../tests/common/replay_oracle.rs"]
+mod replay_oracle;
 
 /// The deterministic config cycle (index = seed % 4), plus the
 /// classification-soundness and estimator-totality oracles that run on
@@ -53,7 +61,10 @@ fn variant_config(idx: usize) -> PipelineConfig {
 
 /// One fuzz case; `Err` describes the failure (panic text or typed error).
 /// Success with the default/strict configs implies execution equivalence —
-/// the dynamic backstop replayed original vs. replicated and they agreed.
+/// the dynamic backstop replayed original vs. replicated and they agreed —
+/// and, in every config, that the compiled replay of the profiling trace
+/// through the shipped program equals the reference walker and the
+/// scored simulation of that program, per replica.
 fn pipeline_case(
     seed: u64,
     diamonds: usize,
@@ -62,19 +73,45 @@ fn pipeline_case(
 ) -> Result<(), String> {
     let outcome = std::panic::catch_unwind(|| {
         let m = random_loop_module(seed, diamonds, trip);
-        run_pipeline(&m, &[], &[], config)
+        run_pipeline(&m, &[], &[], config).map(|result| (m, result))
     });
     match outcome {
         Err(payload) => Err(format!("panicked: {}", panic_text(&payload))),
         Ok(Err(e)) => Err(format!("pipeline error: {e}")),
-        Ok(Ok(result)) => {
+        Ok(Ok((m, result))) => {
             if config.strict && !result.quarantined.is_empty() {
                 Err("strict run returned quarantined sites".to_string())
             } else {
-                Ok(())
+                replay_agrees(&m, &result.program)
             }
         }
     }
+}
+
+/// Compiled replay == reference walker == `evaluate_static` over the
+/// simulated replicated trace, per replica.
+fn replay_agrees(m: &Module, p: &ReplicatedProgram) -> Result<(), String> {
+    use replay_oracle::{executed, reference_replay};
+    let simulate = |module: &Module| {
+        brepl_sim::Machine::new(module, brepl_sim::RunConfig::default())
+            .and_then(|mut machine| machine.run("main", &[]))
+            .map(|outcome| outcome.trace)
+            .map_err(|e| format!("simulation failed: {e}"))
+    };
+    let trace = simulate(m)?;
+    let replayed =
+        brepl_analysis::replay_static(&p.module, &p.provenance, &p.predictions, &trace, "main")
+            .map_err(|e| format!("replay failed: {e}"))?;
+    let reference = reference_replay(&p.module, &p.provenance, &p.predictions, &trace, "main")
+        .map_err(|e| format!("reference replay failed: {e}"))?;
+    let simulated = brepl_predict::evaluate_static(&p.predictions, &simulate(&p.module)?);
+    if executed(&replayed) != executed(&reference) {
+        return Err("compiled replay differs from the reference walker".to_string());
+    }
+    if executed(&replayed) != executed(&simulated) {
+        return Err("compiled replay differs from the simulated replicated trace".to_string());
+    }
+    Ok(())
 }
 
 /// Classification-soundness oracle (variant name `classify-oracle`): the

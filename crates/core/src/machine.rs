@@ -310,7 +310,7 @@ impl StateMachine {
     /// transition into a removed state is redirected to the initial state,
     /// so the result is always a well-formed machine. Prediction *quality*
     /// after shrinking is deliberately not preserved — the pipeline's
-    /// refinement loop re-measures and drops machines that stop paying for
+    /// refinement loop re-scores and drops machines that stop paying for
     /// themselves.
     pub fn shrunk(&self, max_states: usize) -> StateMachine {
         let k = max_states.clamp(1, self.states.len());

@@ -41,6 +41,13 @@ pub enum EquivalenceError {
     /// The per-original-site branch outcome counts differ (checked through
     /// the provenance map).
     BranchHistogramMismatch,
+    /// The histograms agree, but the replicated run's branch events,
+    /// folded through the provenance map, differ from the original run's
+    /// in order.
+    BranchSequenceMismatch {
+        /// Index of the first differing event.
+        index: usize,
+    },
 }
 
 impl fmt::Display for EquivalenceError {
@@ -59,6 +66,9 @@ impl fmt::Display for EquivalenceError {
             EquivalenceError::BranchHistogramMismatch => {
                 write!(f, "per-site branch histograms differ")
             }
+            EquivalenceError::BranchSequenceMismatch { index } => {
+                write!(f, "branch event sequences differ at event {index}")
+            }
         }
     }
 }
@@ -66,8 +76,9 @@ impl fmt::Display for EquivalenceError {
 impl std::error::Error for EquivalenceError {}
 
 /// Runs both programs on the same input and verifies result, output tape
-/// and the per-original-site branch histogram all match, and that the
-/// replicated program executes no more instructions than the original.
+/// and the branch trace all match — per original site, then event for
+/// event through the provenance map — and that the replicated program
+/// executes no more instructions than the original.
 ///
 /// # Errors
 ///
@@ -93,10 +104,16 @@ pub fn check_equivalence(
 /// [`check_equivalence`] on already-measured runs.
 ///
 /// Callers that have just executed both programs (the pipeline profiles
-/// the original and re-measures every replicated candidate anyway) pass
-/// the outcomes and output tapes here instead of paying two more
-/// full-length simulations — execution is deterministic, so the verdict
-/// is identical either way.
+/// the original and simulates the program it ships once) pass the
+/// outcomes and output tapes here instead of paying two more full-length
+/// simulations — execution is deterministic, so the verdict is identical
+/// either way.
+///
+/// The trace check is exact: the replicated trace folded through
+/// `provenance` must equal the original trace event for event. That
+/// equality is what makes [`brepl_analysis::replay_static`] of the
+/// original trace through the replicated module agree with scoring the
+/// replicated program's own trace.
 ///
 /// # Errors
 ///
@@ -124,10 +141,34 @@ pub fn check_equivalence_outcomes(
             replicated: b.steps,
         });
     }
-    if !histograms_match(&a.trace, &b.trace, &replicated.provenance) {
-        return Err(EquivalenceError::BranchHistogramMismatch);
+    match first_divergence(&a.trace, &b.trace, &replicated.provenance) {
+        None => Ok(()),
+        Some(_) if !histograms_match(&a.trace, &b.trace, &replicated.provenance) => {
+            Err(EquivalenceError::BranchHistogramMismatch)
+        }
+        Some(index) => Err(EquivalenceError::BranchSequenceMismatch { index }),
     }
-    Ok(())
+}
+
+/// Index of the first event where the replicated trace, folded through
+/// `provenance`, differs from the original trace (a length difference
+/// counts as a divergence at the shorter length). One pass over both
+/// packed traces.
+fn first_divergence(
+    original: &Trace,
+    replicated: &Trace,
+    provenance: &[brepl_ir::BranchId],
+) -> Option<usize> {
+    let (a, b) = (original.packed(), replicated.packed());
+    let folded = b.iter().map(|&p| {
+        provenance
+            .get((p >> 1) as usize)
+            .map(|orig| orig.0 << 1 | (p & 1))
+    });
+    a.iter()
+        .zip(folded)
+        .position(|(&o, r)| r != Some(o))
+        .or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))
 }
 
 /// Compares per-original-site `(taken, not-taken)` histograms, the
@@ -213,6 +254,33 @@ mod tests {
         // step=3 overshoots to 12 instead of 10.
         let err = check_equivalence(&m, &program, "main", &[Value::Int(10)], &[]).unwrap_err();
         assert!(matches!(err, EquivalenceError::ResultMismatch { .. }));
+    }
+
+    /// Provenance that swaps two sites with equal histograms: every
+    /// per-site count still matches, but the folded event order does not.
+    #[test]
+    fn detects_reordered_branch_sequence() {
+        let mut b = FunctionBuilder::new("main", 0);
+        let c = b.reg();
+        b.const_int(c, 1);
+        let second = b.new_block();
+        let exit = b.new_block();
+        b.br(c, second, second);
+        b.switch_to(second);
+        b.br(c, exit, exit);
+        b.switch_to(exit);
+        b.ret(None);
+        let mut m = Module::new();
+        m.push_function(b.finish());
+        let run = brepl_sim::Machine::new(&m, brepl_sim::RunConfig::default())
+            .unwrap()
+            .run("main", &[])
+            .unwrap();
+        let mut program = apply_plan(&m, &ReplicationPlan::new(), &run.trace.stats()).unwrap();
+        check_equivalence(&m, &program, "main", &[], &[]).unwrap();
+        program.provenance.reverse();
+        let err = check_equivalence(&m, &program, "main", &[], &[]).unwrap_err();
+        assert_eq!(err, EquivalenceError::BranchSequenceMismatch { index: 0 });
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt;
 
 use brepl_analysis::{
     check_history, classification_diags, classify_module, estimate_profile, prediction_proof_diags,
-    static_profile_diags, validate_replication, AnalysisDiag, DiagCode, LintConfig,
+    replay_static, static_profile_diags, validate_replication, AnalysisDiag, DiagCode, LintConfig,
 };
 use brepl_core::replicate::ReplicateError;
 use brepl_core::{
@@ -54,12 +54,16 @@ pub struct PipelineConfig {
     /// demoting errors). Default: every code at its built-in severity.
     pub lint: LintConfig,
     /// When true (default), additionally compare the original's profiling
-    /// run against the shipped program's re-measure run — results, output
-    /// tapes, step counts and per-site branch histograms — a single
-    /// dynamic backstop behind the static validator, which covers every
-    /// round. Both runs happen anyway (and under [`Self::run`], the same
-    /// configuration), so the backstop costs two histogram passes, not
-    /// two extra simulations.
+    /// run against the shipped program's one simulation — results, output
+    /// tapes, step counts and the branch trace, folded through provenance
+    /// and compared event for event — a single dynamic backstop behind
+    /// the static validator, which covers every round. Both runs happen
+    /// anyway (and under [`Self::run`], the same configuration), so the
+    /// backstop costs a pass over the packed traces, not two extra
+    /// simulations. Its trace check proves the shipped program's replay
+    /// exact, so [`PipelineResult::replicated_misprediction_percent`]
+    /// then comes from that replay; with the backstop off it scores the
+    /// measured trace.
     pub dynamic_backstop: bool,
     /// Estimated code-size budget (growth factor). Branches are enabled in
     /// greedy benefit-per-size order until the estimate exceeds the budget
@@ -76,11 +80,14 @@ pub struct PipelineConfig {
     /// (gate [`QuarantineGate::SizeBudget`]) — so adversarial profiles
     /// terminate at bounded size instead of blowing up.
     pub max_realized_growth: Option<f64>,
-    /// When true (default), re-measure the replicated program and *drop*
-    /// machines whose realized prediction is no better than profile (the
-    /// trace-suffix profile of correlated machines is an approximation of
-    /// the CFG-path replica, so a few machines can fail to transfer);
-    /// replication is then redone with the pruned plan.
+    /// When true (default), score every replicated candidate by replaying
+    /// the profiling trace through it ([`brepl_analysis::replay_static`],
+    /// exact, no simulation) and *drop* machines whose realized prediction
+    /// is no better than profile (the trace-suffix profile of correlated
+    /// machines is an approximation of the CFG-path replica, so a few
+    /// machines can fail to transfer); replication is then redone with
+    /// the pruned plan. A round whose replay fails structurally is
+    /// simulated instead. Only the program that ships is simulated.
     pub refine: bool,
     /// When true (default), run the static direction classification
     /// ([`brepl_analysis::classify_module`]: SCCP over an interval
@@ -684,7 +691,14 @@ pub fn run_pipeline_profiled(
     let incremental = config.incremental && std::env::var_os("BREPL_NO_INCREMENTAL").is_none();
     let mut gate_cache = brepl_analysis::GateCache::new();
     let mut round = 0usize;
-    let (program, report, warnings, outcome2, output2) = loop {
+    let measure = |program: &ReplicatedProgram| -> Result<_, PipelineError> {
+        let mut machine2 = Machine::new(&program.module, config.run)?;
+        machine2.set_input(input.to_vec());
+        let outcome2 = machine2.run("main", args)?;
+        let output2 = machine2.output().to_vec();
+        Ok((outcome2, output2))
+    };
+    let (program, report, warnings, measured) = loop {
         round += 1;
         let mut plan = selection.to_plan_filtered(|site| enabled.contains(&site));
         for (&site, m) in &overrides {
@@ -879,13 +893,34 @@ pub fn run_pipeline_profiled(
             }
             round_warnings.extend(warns);
         }
-        let mut machine2 = Machine::new(&program.module, config.run)?;
-        machine2.set_input(input.to_vec());
-        let outcome2 = machine2.run("main", args)?;
-        let output2 = machine2.output().to_vec();
-        let report = evaluate_static(&program.predictions, &outcome2.trace);
+        // Score the candidate by replaying the profiling trace through it
+        // — exact whenever it branches like the original, which the
+        // backstop proves for the shipped program — instead of simulating
+        // it. A replay that fails structurally falls back to simulating
+        // this round; a run without a backstop measures the shipped
+        // program below.
+        let replayed = if config.refine || config.dynamic_backstop {
+            replay_static(
+                &program.module,
+                &program.provenance,
+                &program.predictions,
+                &outcome.trace,
+                "main",
+            )
+            .ok()
+        } else {
+            None
+        };
+        let (report, measured) = match replayed {
+            Some(report) => (report, None),
+            None => {
+                let (outcome2, output2) = measure(&program)?;
+                let report = evaluate_static(&program.predictions, &outcome2.trace);
+                (report, Some((outcome2, output2)))
+            }
+        };
         if !config.refine {
-            break (program, report, round_warnings, outcome2, output2);
+            break (program, report, round_warnings, measured);
         }
         // Fold replicated-site mispredictions back to original sites.
         let mut folded: std::collections::HashMap<BranchId, u64> = std::collections::HashMap::new();
@@ -904,7 +939,23 @@ pub fn run_pipeline_profiled(
             }
         }
         if !dropped {
-            break (program, report, round_warnings, outcome2, output2);
+            break (program, report, round_warnings, measured);
+        }
+    };
+
+    // The plan has settled: simulate the shipped program exactly once
+    // (unless a failed replay already did). Without the backstop nothing
+    // vouches for the replay, so the report comes from this measurement.
+    let (outcome2, output2, report) = match measured {
+        Some((outcome2, output2)) => (outcome2, output2, report),
+        None => {
+            let (outcome2, output2) = measure(&program)?;
+            let report = if config.dynamic_backstop {
+                report
+            } else {
+                evaluate_static(&program.predictions, &outcome2.trace)
+            };
+            (outcome2, output2, report)
         }
     };
 
@@ -945,9 +996,11 @@ pub fn run_pipeline_profiled(
     }
 
     // Backstop behind the static gate: compare the profiling run of the
-    // original against the final re-measure run of the shipped program —
-    // both already executed above, so the check costs two dense histogram
-    // passes, not two more full-length simulations.
+    // original against the one simulation of the shipped program — both
+    // already executed above, so the check costs two passes over the
+    // packed traces, not two more full-length simulations. Its
+    // event-for-event trace check also proves the replayed report equal
+    // to scoring the measured trace.
     if config.dynamic_backstop {
         check_equivalence_outcomes(&program, outcome, profile_output, &outcome2, &output2)
             .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
@@ -1010,8 +1063,8 @@ pub fn run_pipeline_profiled(
 /// synthetic plan input.
 ///
 /// Two knobs differ from the profiled path, necessarily: `refine` is off
-/// (refinement compares the re-measure against the synthetic plan, which
-/// would punish honest estimate error, not transfer failure) and the
+/// (refinement scores candidates against the synthetic plan, which would
+/// punish honest estimate error, not transfer failure) and the
 /// dynamic backstop is off (there is no profiling run to compare
 /// against). Everything else — including strictness, lint overrides and
 /// the size budgets — applies unchanged.
@@ -1477,7 +1530,8 @@ fn render_capped(diags: &[AnalysisDiag], module: &Module) -> String {
 }
 
 /// The refinement drop rule: a machine is kept only while it is *strictly
-/// better* than plain profile prediction on the re-measured run.
+/// better* than plain profile prediction on the profiling trace replayed
+/// through the replicated program.
 ///
 /// Intended rule, stated explicitly (the original expression leaned on
 /// `&&`/`||` precedence): drop when the realized machine is no better than
@@ -1604,6 +1658,37 @@ mod tests {
             !result.replicated_sites.is_empty(),
             "the alternating branch should ship a machine"
         );
+    }
+
+    /// With the backstop on, the shipped rate comes from the replay; with
+    /// it off, from scoring the simulated trace. The two must agree bit
+    /// for bit, with refinement on or off.
+    #[test]
+    fn replayed_rate_equals_the_measured_rate() {
+        let m = alternating_module();
+        for refine in [true, false] {
+            let config = PipelineConfig {
+                refine,
+                ..PipelineConfig::default()
+            };
+            let replayed = run_pipeline(&m, &[], &[], config).unwrap();
+            let measured = run_pipeline(
+                &m,
+                &[],
+                &[],
+                PipelineConfig {
+                    dynamic_backstop: false,
+                    ..config
+                },
+            )
+            .unwrap();
+            assert_eq!(replayed.replicated_sites, measured.replicated_sites);
+            assert_eq!(
+                replayed.replicated_misprediction_percent.to_bits(),
+                measured.replicated_misprediction_percent.to_bits(),
+                "refine = {refine}"
+            );
+        }
     }
 
     /// Static planning ships a replicated program with zero profiling

@@ -9,3 +9,6 @@
 #![allow(unused_imports)]
 
 pub use brepl_workloads::synth::{random_loop_module, Gen};
+
+#[allow(dead_code)]
+pub mod replay_oracle;

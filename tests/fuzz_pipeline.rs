@@ -11,15 +11,23 @@
 
 mod common;
 
+use brepl::core::ReplicatedProgram;
 use brepl::pipeline::{run_pipeline, PipelineConfig};
+use brepl::predict::evaluate_static;
+use brepl::sim::{Machine, RunConfig};
 use brepl::trace::{Trace, TraceEvent};
 use brepl::workloads::synth::{random_loop_module, Gen};
-use brepl_ir::BranchId;
+use brepl_analysis::replay_static;
+use brepl_ir::{BranchId, Module};
+use common::replay_oracle::{executed, reference_replay};
 
 /// One fuzz case: build the module and run the full pipeline (all gates +
 /// dynamic backstop on, so success implies execution equivalence between
-/// the original and the shipped program). `Err` carries a description of
-/// the failure; a panic anywhere inside is caught and reported too.
+/// the original and the shipped program), then hold the compiled replay
+/// of the profiling trace through the shipped program to the reference
+/// walker and to scoring the shipped program's own simulated trace, per
+/// replica. `Err` carries a description of the failure; a panic anywhere
+/// inside is caught and reported too.
 fn pipeline_case(
     seed: u64,
     diamonds: usize,
@@ -28,21 +36,45 @@ fn pipeline_case(
 ) -> Result<(), String> {
     let outcome = std::panic::catch_unwind(|| {
         let m = random_loop_module(seed, diamonds, trip);
-        run_pipeline(&m, &[], &[], config)
+        run_pipeline(&m, &[], &[], config).map(|result| (m, result))
     });
     match outcome {
         Err(payload) => Err(format!("panicked: {}", panic_text(&payload))),
         Ok(Err(e)) => Err(format!("pipeline error: {e}")),
-        Ok(Ok(result)) => {
+        Ok(Ok((m, result))) => {
             // Quarantine may legitimately fire under tight budgets, but a
             // clean default run must never quarantine.
             if config.strict && !result.quarantined.is_empty() {
                 Err("strict run returned quarantined sites".to_string())
             } else {
-                Ok(())
+                replay_agrees(&m, &result.program)
             }
         }
     }
+}
+
+/// Compiled replay == reference walker == `evaluate_static` over the
+/// simulated replicated trace, per replica.
+fn replay_agrees(m: &Module, p: &ReplicatedProgram) -> Result<(), String> {
+    let simulate = |module: &Module| {
+        Machine::new(module, RunConfig::default())
+            .and_then(|mut machine| machine.run("main", &[]))
+            .map(|outcome| outcome.trace)
+            .map_err(|e| format!("simulation failed: {e}"))
+    };
+    let trace = simulate(m)?;
+    let replayed = replay_static(&p.module, &p.provenance, &p.predictions, &trace, "main")
+        .map_err(|e| format!("replay failed: {e}"))?;
+    let reference = reference_replay(&p.module, &p.provenance, &p.predictions, &trace, "main")
+        .map_err(|e| format!("reference replay failed: {e}"))?;
+    let simulated = evaluate_static(&p.predictions, &simulate(&p.module)?);
+    if executed(&replayed) != executed(&reference) {
+        return Err("compiled replay differs from the reference walker".to_string());
+    }
+    if executed(&replayed) != executed(&simulated) {
+        return Err("compiled replay differs from the simulated replicated trace".to_string());
+    }
+    Ok(())
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {

@@ -1,43 +1,136 @@
 //! Differential testing of the static misprediction bound: the bound the
 //! cost model derives by folding the profiling trace through the
-//! replicated control flow must never undercut what the simulator
-//! measures, and on the didactic Figure-1 CFG it must agree *exactly* —
-//! the replay is a faithful abstract execution, not an estimate.
+//! replicated control flow must equal what the simulator measures, site
+//! for site, on every workload and on the didactic Figure-1 CFG — the
+//! replay is a faithful abstract execution, not an estimate. The compiled
+//! replay is also held to the instruction-by-instruction reference walker
+//! in `tests/common`.
+
+mod common;
+
+use std::collections::BTreeMap;
 
 use brepl::core::machine::MachineState;
 use brepl::core::replicate::{apply_plan, BranchMachine, ReplicationPlan};
 use brepl::core::{HistPattern, StateMachine};
-use brepl::ir::{BranchId, FunctionBuilder, Module, Operand};
+use brepl::ir::{parse_module, BranchId, FunctionBuilder, Module, Operand};
 use brepl::pipeline::{run_pipeline, PipelineConfig};
+use brepl::predict::{evaluate_static, StaticPrediction};
 use brepl::sim::{Machine, RunConfig};
+use brepl::trace::Trace;
 use brepl::workloads::{all_workloads, Scale};
-use brepl_analysis::static_cost;
+use brepl_analysis::{replay_static, static_cost};
+use common::replay_oracle::{executed, reference_replay};
+
+fn simulate(m: &Module, args: &[brepl::ir::Value], input: &[brepl::ir::Value]) -> Trace {
+    let mut machine = Machine::new(m, RunConfig::default()).unwrap();
+    machine.set_input(input.to_vec());
+    machine.run("main", args).unwrap().trace
+}
+
+/// Per original site `(executions, misses)` of `predictions` over the
+/// replicated program's own simulated trace.
+fn simulated_per_site(
+    provenance: &[BranchId],
+    predictions: &StaticPrediction,
+    replicated_trace: &Trace,
+) -> Vec<(BranchId, u64, u64)> {
+    let mut folded: BTreeMap<BranchId, (u64, u64)> = BTreeMap::new();
+    for (replica, runs, misses) in evaluate_static(predictions, replicated_trace).iter_sites() {
+        let e = folded.entry(provenance[replica.index()]).or_default();
+        e.0 += runs;
+        e.1 += misses;
+    }
+    folded.into_iter().map(|(s, (r, m))| (s, r, m)).collect()
+}
 
 #[test]
-fn static_bound_never_undercuts_the_simulator_on_any_workload() {
+fn static_bound_equals_the_simulator_per_site_on_every_workload() {
     for w in all_workloads(Scale::Small) {
         let r = run_pipeline(&w.module, &w.args, &w.input, PipelineConfig::default())
             .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", w.name));
-        let mut machine = Machine::new(&w.module, RunConfig::default()).unwrap();
-        machine.set_input(w.input.clone());
-        let trace = machine.run("main", &w.args).unwrap().trace;
+        let p = &r.program;
+        let trace = simulate(&w.module, &w.args, &w.input);
         let report = static_cost(
             &w.module,
-            &r.program.module,
-            &r.program.provenance,
-            &r.program.predictions,
+            &p.module,
+            &p.provenance,
+            &p.predictions,
             &trace,
             "main",
         )
         .unwrap_or_else(|e| panic!("{}: cost replay failed: {e}", w.name));
-        assert!(
-            report.bound_percent() + 1e-9 >= r.replicated_misprediction_percent,
-            "{}: static bound {:.4}% undercuts simulated {:.4}%",
+        let replicated_trace = simulate(&p.module, &w.args, &w.input);
+        let bound: Vec<(BranchId, u64, u64)> = report
+            .sites
+            .iter()
+            .map(|s| (s.site, s.executions, s.bound))
+            .collect();
+        assert_eq!(
+            bound,
+            simulated_per_site(&p.provenance, &p.predictions, &replicated_trace),
+            "{}: static bound differs from the simulator per site",
+            w.name
+        );
+        assert_eq!(
+            report.bound_percent().to_bits(),
+            r.replicated_misprediction_percent.to_bits(),
+            "{}: static bound {:.4}% differs from the shipped {:.4}%",
             w.name,
             report.bound_percent(),
             r.replicated_misprediction_percent
         );
+
+        let replayed = replay_static(&p.module, &p.provenance, &p.predictions, &trace, "main")
+            .unwrap_or_else(|e| panic!("{}: replay failed: {e}", w.name));
+        let reference = reference_replay(&p.module, &p.provenance, &p.predictions, &trace, "main")
+            .unwrap_or_else(|e| panic!("{}: reference replay failed: {e}", w.name));
+        assert_eq!(executed(&replayed), executed(&reference), "{}", w.name);
+        assert_eq!(
+            executed(&replayed),
+            executed(&evaluate_static(&p.predictions, &replicated_trace)),
+            "{}",
+            w.name
+        );
     }
+}
+
+/// Entry block other than block 0: the replay must start where the
+/// simulator does.
+#[test]
+fn replay_honours_a_parsed_entry_block() {
+    let src = "\
+func @main(0) regs=2 entry=b2 {
+b0:
+  ret r0
+b1:
+  r0 = add r0, 1
+  r1 = lt r0, 5
+  br r1, b1, b0
+b2:
+  r0 = const 0
+  jmp b1
+}
+";
+    let m = parse_module(src).expect("parses");
+    assert_eq!(m.function(m.function_by_name("main").unwrap()).entry.0, 2);
+    let trace = simulate(&m, &[], &[]);
+    assert_eq!(trace.len(), 5);
+    let provenance: Vec<BranchId> = (0..m.branch_count()).map(BranchId::from_index).collect();
+    let p = StaticPrediction::with_default(true);
+    let report = static_cost(&m, &m, &provenance, &p, &trace, "main").expect("replay");
+    assert_eq!(report.total_events, 5);
+    assert_eq!(
+        report
+            .sites
+            .iter()
+            .map(|s| (s.site, s.executions, s.bound))
+            .collect::<Vec<_>>(),
+        simulated_per_site(&provenance, &p, &trace)
+    );
+    let replayed = replay_static(&m, &provenance, &p, &trace, "main").unwrap();
+    let reference = reference_replay(&m, &provenance, &p, &trace, "main").unwrap();
+    assert_eq!(executed(&replayed), executed(&reference));
 }
 
 /// The Figure-1 demo: a 16-iteration loop whose branch alternates, tamed

@@ -45,7 +45,8 @@ use brepl_analysis::{
     GateCache, Severity,
 };
 use brepl_ir::{BranchId, Loc, Module};
-use brepl_trace::{windowed_counts, PackedStream, SiteCounts, Trace, TraceStats};
+use brepl_predict::StaticPrediction;
+use brepl_trace::{windowed_counts, PackedStream, SiteCounts, TraceStats};
 
 use crate::replicate::{
     apply_plan, BranchMachine, ReplicateError, ReplicatedProgram, ReplicationPlan,
@@ -181,7 +182,7 @@ struct PendingVerify {
 
 /// One site's folded observation for a segment: the outcome stream and
 /// the shipped program's miss stream, both in that site's own order.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct Folded {
     taken: PackedStream,
     miss: PackedStream,
@@ -468,30 +469,19 @@ impl<'m> Respec<'m> {
         }
     }
 
-    /// Folds an observed segment to per-original-site outcome and miss
-    /// streams under the program that produced it.
-    fn fold(&self, seg: &Trace) -> BTreeMap<BranchId, Folded> {
-        let provenance = &self.program.provenance;
-        let predictions = &self.program.predictions;
-        let mut folded: BTreeMap<BranchId, Folded> = BTreeMap::new();
-        for ev in seg.iter() {
-            let orig = provenance.get(ev.site.index()).copied().unwrap_or(ev.site);
-            let f = folded.entry(orig).or_default();
-            f.taken.push(ev.taken);
-            f.miss.push(predictions.get(ev.site) != ev.taken);
-        }
-        folded
-    }
-
     /// Observes one trace segment produced by the *current* program and
     /// applies at most one patch transaction. Returns the records
     /// appended or resolved this call (resolved records are re-emitted
     /// with their final outcome).
     ///
+    /// `events` are the segment's packed event words (`site << 1 |
+    /// taken`, as in [`brepl_trace::Trace::packed`]), so a caller
+    /// holding the whole run's trace hands over one segment's slice
+    /// without copying it.
     /// `segment` indices must be strictly increasing across calls.
-    pub fn observe(&mut self, segment: usize, seg: &Trace) -> Vec<PatchRecord> {
+    pub fn observe(&mut self, segment: usize, events: &[u32]) -> Vec<PatchRecord> {
         let mut touched: Vec<usize> = Vec::new();
-        let folded = self.fold(seg);
+        let folded = fold(&self.program.provenance, &self.program.predictions, events);
         self.verify_pending(segment, &folded, &mut touched);
         self.check_proved(segment, &folded, &mut touched);
         if self.pending.is_none() {
@@ -902,6 +892,51 @@ impl<'m> Respec<'m> {
     }
 }
 
+/// Folds observed events (packed `site << 1 | taken` words) to
+/// per-original-site outcome and miss streams under the program — its
+/// `provenance` and `predictions` — that produced them. A replica outside
+/// `provenance` is its own origin; sites that never executed are absent.
+///
+/// One pass into dense per-original-site slots through per-replica
+/// prediction and origin tables, with no per-event map probe; only
+/// origins past the slot range (replicas outside `provenance`) go through
+/// a map. The slots are then collected in site order.
+fn fold(
+    provenance: &[BranchId],
+    predictions: &StaticPrediction,
+    events: &[u32],
+) -> BTreeMap<BranchId, Folded> {
+    let predicted = predictions.dense(provenance.len());
+    let n_slots = provenance.iter().map(|o| o.index() + 1).max().unwrap_or(0);
+    let mut slots: Vec<Folded> = std::iter::repeat_with(Folded::default)
+        .take(n_slots)
+        .collect();
+    let mut overflow: BTreeMap<BranchId, Folded> = BTreeMap::new();
+    for &p in events {
+        let replica = BranchId(p >> 1);
+        let taken = p & 1 == 1;
+        let origin = provenance.get(replica.index()).copied().unwrap_or(replica);
+        let f = match slots.get_mut(origin.index()) {
+            Some(f) => f,
+            None => overflow.entry(origin).or_default(),
+        };
+        let guess = predicted
+            .get(replica.index())
+            .copied()
+            .unwrap_or_else(|| predictions.get(replica));
+        f.taken.push(taken);
+        f.miss.push(guess != taken);
+    }
+    let mut folded: BTreeMap<BranchId, Folded> = slots
+        .into_iter()
+        .enumerate()
+        .filter(|(_, f)| !f.taken.is_empty())
+        .map(|(i, f)| (BranchId::from_index(i), f))
+        .collect();
+    folded.append(&mut overflow);
+    folded
+}
+
 /// Convenience: which strategy `selection` chose for `site`, for callers
 /// assembling the shipped-site set.
 pub fn is_machine_choice(selection: &Selection, site: BranchId) -> bool {
@@ -909,4 +944,62 @@ pub fn is_machine_choice(selection: &Selection, site: BranchId) -> bool {
         .choices()
         .iter()
         .any(|c| c.site == site && !matches!(c.chosen, ChosenStrategy::Profile))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use brepl_trace::{Trace, TraceEvent};
+
+    /// The per-event map fold the dense one replaced: one `BTreeMap`
+    /// entry and one prediction probe per event.
+    fn fold_reference(
+        provenance: &[BranchId],
+        predictions: &StaticPrediction,
+        seg: &Trace,
+    ) -> BTreeMap<BranchId, Folded> {
+        let mut folded: BTreeMap<BranchId, Folded> = BTreeMap::new();
+        for ev in seg.iter() {
+            let orig = provenance.get(ev.site.index()).copied().unwrap_or(ev.site);
+            let f = folded.entry(orig).or_default();
+            f.taken.push(ev.taken);
+            f.miss.push(predictions.get(ev.site) != ev.taken);
+        }
+        folded
+    }
+
+    #[test]
+    fn dense_fold_matches_map_fold() {
+        // Replicas 0..6 fold onto original sites 0, 1, 6 and 2; replica 5
+        // (site 2's only copy) never executes, nor do sites 3..=5.
+        // Replica 6 lies outside `provenance` inside the slot range and
+        // shares its origin with replicas 3 and 4; replica 40 lies past
+        // the slot range.
+        let provenance: Vec<BranchId> = [0, 1, 1, 6, 6, 2].map(BranchId).to_vec();
+        let mut predictions = StaticPrediction::with_default(true);
+        predictions.set(BranchId(1), false);
+        predictions.set(BranchId(3), false);
+        predictions.set(BranchId(40), false);
+        let replicas = [0u32, 1, 2, 3, 4, 6, 40];
+        let mut state = 0x2545_f491u32;
+        let seg: Trace = (0..500)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                TraceEvent {
+                    site: BranchId(replicas[(state % 7) as usize]),
+                    taken: state & 0x300 != 0,
+                }
+            })
+            .collect();
+
+        let dense = fold(&provenance, &predictions, seg.packed());
+        assert_eq!(dense, fold_reference(&provenance, &predictions, &seg));
+        let sites: Vec<u32> = dense.keys().map(|s| s.0).collect();
+        assert_eq!(sites, [0, 1, 6, 40], "sites that never execute are absent");
+        let total: usize = dense.values().map(|f| f.taken.len()).sum();
+        assert_eq!(total, seg.len());
+        assert!(fold(&provenance, &predictions, &[]).is_empty());
+    }
 }

@@ -73,6 +73,19 @@ impl StaticPrediction {
         self.predictions.get(&site).copied().unwrap_or(self.default)
     }
 
+    /// The predictions of sites `0..n_sites` as a dense direction table
+    /// indexed by site (`default` where no entry exists), so batched
+    /// scorers pay one indexed load per event instead of a hash probe.
+    pub fn dense(&self, n_sites: usize) -> Vec<bool> {
+        let mut table = vec![self.default; n_sites];
+        for (&site, &taken) in &self.predictions {
+            if let Some(slot) = table.get_mut(site.index()) {
+                *slot = taken;
+            }
+        }
+        table
+    }
+
     /// Iterates over the explicit `(site, prediction)` entries, in no
     /// particular order.
     pub fn iter(&self) -> impl Iterator<Item = (BranchId, bool)> + '_ {
@@ -106,12 +119,7 @@ impl FromIterator<(BranchId, bool)> for StaticPrediction {
 /// with one indexed compare per event — no hash lookup on the hot path.
 pub fn evaluate_static(prediction: &StaticPrediction, trace: &Trace) -> Report {
     let n_sites = trace.max_site().map_or(0, |s| s.index() + 1);
-    let mut predicted: Vec<bool> = vec![prediction.default; n_sites];
-    for (site, taken) in prediction.iter() {
-        if site.index() < n_sites {
-            predicted[site.index()] = taken;
-        }
-    }
+    let predicted = prediction.dense(n_sites);
     let mut counts = vec![(0u64, 0u64); n_sites];
     for &p in trace.packed() {
         let i = (p >> 1) as usize;

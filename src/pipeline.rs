@@ -1186,6 +1186,9 @@ pub struct AdaptiveResult {
     pub quarantined_sites: Vec<BranchId>,
     /// Incremental-gate cache hits the patch gating scored.
     pub gate_cache_hits: usize,
+    /// Full-tape simulations the segment loop ran: one per distinct
+    /// program (module and provenance) it observed, each backstopped.
+    pub simulated_runs: usize,
     /// The fault the adaptive-layer chaos engine injected, if it fired
     /// (`inject-drift` / `corrupt-patch`; plan-time points record into
     /// [`PipelineResult::chaos_injection`] instead).
@@ -1203,11 +1206,15 @@ pub struct AdaptiveResult {
 /// Segment 0 is the planning segment: it drives the ordinary profiled
 /// pipeline ([`run_pipeline_profiled`]) end to end, gate stack included.
 /// The shipped program is then wrapped in [`brepl_core::Respec`] and run
-/// over the full concatenated tape once per segment (execution is
-/// deterministic, so each run's prefix is exactly what already shipped);
-/// segment `k`'s event slice — delimited by
-/// [`brepl_sim::Machine::run_segmented`] marks — is measured and fed to
-/// the patcher. Every candidate patch re-proves under `BR001`–`BR012`
+/// over the full concatenated tape (execution is deterministic, so the
+/// run's prefix is exactly what already shipped); segment `k`'s event
+/// slice — delimited by [`brepl_sim::Machine::run_segmented`] marks — is
+/// measured and fed to the patcher. Each distinct program (module and
+/// provenance) is simulated and checked by the dynamic backstop once: a
+/// segment whose program equals the last simulated one reuses that run
+/// and is only re-scored against the current predictions
+/// ([`AdaptiveResult::simulated_runs`] counts the simulations). Every
+/// candidate patch re-proves under `BR001`–`BR012`
 /// before commit, survives one verification window or rolls back
 /// byte-identically, and the final program re-proves once more from
 /// scratch before this function returns.
@@ -1304,41 +1311,68 @@ pub fn run_pipeline_adaptive(
     let ref_outcome = reference.run("main", args)?;
     let ref_output = reference.output().to_vec();
 
-    // 5. Observe segment by segment: run the current program, slice out
-    // segment k's events, measure, feed the patcher.
+    // 5. Observe segment by segment: slice segment k's events out of the
+    // current program's full-tape run, measure, feed the patcher. Each
+    // distinct program (module and provenance) is simulated and
+    // backstopped once: execution is deterministic and the backstop
+    // reads only the two runs and the provenance, so a patch that leaves
+    // both unchanged (a pin swap, a rollback to the simulated program)
+    // reuses the run and is only re-scored against its predictions.
     let mut measures = Vec::with_capacity(segments.len());
+    let mut last_run: Option<SegmentedRun> = None;
+    let mut simulated_runs = 0usize;
     for k in 0..segments.len() {
-        let mut m2 = Machine::new(&respec.program().module, config.pipeline.run)?;
-        m2.set_input(input.clone());
-        let (outcome2, marks) = m2.run_segmented("main", args, &bounds)?;
-        let output2 = m2.output().to_vec();
-        if config.pipeline.dynamic_backstop {
-            check_equivalence_outcomes(
-                respec.program(),
-                &ref_outcome,
-                &ref_output,
-                &outcome2,
-                &output2,
-            )
-            .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
+        let program = respec.program();
+        if !last_run.as_ref().is_some_and(|r| r.simulated(program)) {
+            // Drop the stale trace first: at most one full-tape trace is
+            // alive at a time.
+            drop(last_run.take());
+            let mut m2 = Machine::new(&program.module, config.pipeline.run)?;
+            m2.set_input(input.clone());
+            let (outcome, marks) = m2.run_segmented("main", args, &bounds)?;
+            simulated_runs += 1;
+            if config.pipeline.dynamic_backstop {
+                check_equivalence_outcomes(
+                    program,
+                    &ref_outcome,
+                    &ref_output,
+                    &outcome,
+                    m2.output(),
+                )
+                .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
+            }
+            last_run = Some(SegmentedRun {
+                module: program.module.clone(),
+                provenance: program.provenance.clone(),
+                outcome,
+                marks,
+            });
         }
-        let start = if k == 0 { 0 } else { marks[k - 1] };
+        let run = last_run.as_ref().expect("simulated above");
+        let trace = &run.outcome.trace;
+        let start = if k == 0 { 0 } else { run.marks[k - 1] };
         // Events after the tape is exhausted (drain loops, epilogues)
         // belong to the last segment.
         let end = if k + 1 == segments.len() {
-            outcome2.trace.len()
+            trace.len()
         } else {
-            marks[k]
+            run.marks[k]
         };
-        let mut slice = brepl_trace::Trace::with_capacity(end - start);
-        let mut misses = 0u64;
-        for ev in outcome2.trace.iter().skip(start).take(end - start) {
-            if respec.program().predictions.get(ev.site) != ev.taken {
-                misses += 1;
-            }
-            slice.push(ev);
-        }
-        let events = slice.len() as u64;
+        let words = &trace.packed()[start..end];
+        let predictions = &program.predictions;
+        let predicted = predictions.dense(program.module.branch_count());
+        let misses = words
+            .iter()
+            .filter(|&&p| {
+                let site = BranchId(p >> 1);
+                let guess = predicted
+                    .get(site.index())
+                    .copied()
+                    .unwrap_or_else(|| predictions.get(site));
+                guess != (p & 1 == 1)
+            })
+            .count();
+        let events = words.len() as u64;
         let pct = if events == 0 {
             0.0
         } else {
@@ -1349,15 +1383,20 @@ pub fn run_pipeline_adaptive(
         // segment; the measurement above already captured the honest
         // slice, and the execution itself is never touched.
         #[cfg(feature = "chaos")]
-        let slice = match &mut adaptive_engine {
-            Some(eng) if k >= 1 => eng
-                .inject_drift(&slice, &patchable, &respec.program().provenance)
-                .unwrap_or(slice),
-            _ => slice,
+        let forged = match &mut adaptive_engine {
+            Some(eng) if k >= 1 => {
+                let slice: brepl_trace::Trace =
+                    trace.iter().skip(start).take(end - start).collect();
+                eng.inject_drift(&slice, &patchable, &program.provenance)
+            }
+            _ => None,
         };
-        let patches = respec.observe(k, &slice);
+        #[cfg(feature = "chaos")]
+        let words = forged.as_ref().map_or(words, |t| t.packed());
+        let patches = respec.observe(k, words);
         // CorruptPatch flips a patch the gate just accepted — the
-        // verification window is the only defense left.
+        // verification window is the only defense left. It changes only
+        // predictions, so the next segment re-scores the cached run.
         #[cfg(feature = "chaos")]
         if let Some(eng) = &mut adaptive_engine {
             let committed = patches
@@ -1402,10 +1441,29 @@ pub fn run_pipeline_adaptive(
         demoted_sites,
         quarantined_sites,
         gate_cache_hits,
+        simulated_runs,
         #[cfg(feature = "chaos")]
         chaos_injection: adaptive_engine.and_then(|e| e.into_injection()),
         program,
     })
+}
+
+/// The last full-tape segmented run of [`run_pipeline_adaptive`], with
+/// the program (module and provenance) it simulated and backstopped.
+struct SegmentedRun {
+    module: Module,
+    provenance: Vec<BranchId>,
+    outcome: brepl_sim::Outcome,
+    marks: Vec<usize>,
+}
+
+impl SegmentedRun {
+    /// Whether this run is `program`'s: the same module and provenance,
+    /// compared in full, so its trace and backstop verdict are
+    /// `program`'s too.
+    fn simulated(&self, program: &ReplicatedProgram) -> bool {
+        self.module == program.module && self.provenance == program.provenance
+    }
 }
 
 /// One workload's inputs to [`run_pipeline_adaptive_suite_with_threads`].

@@ -3,13 +3,172 @@
 //! 10% of a from-scratch re-plan, demotion and re-inflation of machine
 //! sites, proof-gated rollback, and flapping-site quarantine (`BR024`).
 
+mod common;
+
 use brepl::core::{PatchKind, PatchOutcome};
+use brepl::ir::{Module, Value};
 use brepl::pipeline::{run_pipeline, run_pipeline_adaptive, AdaptiveConfig, PipelineConfig};
 use brepl::workloads::kmp;
 use brepl::workloads::synth::{gate_tape, input_gate_module, GatePattern};
 use brepl_analysis::DiagCode;
+use common::adaptive_oracle::adaptive_oracle;
 
 const N: usize = 2000;
+
+/// splitmix64 finalizer: derives per-segment text seeds from a scenario
+/// seed.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The five drift scenarios, seeded: three over Morris–Pratt text whose
+/// bias shifts (or not) after the plan, two over the input-gate module
+/// whose tape pattern changes.
+fn drift_scenarios(seed: u64) -> Vec<(&'static str, Module, Vec<Vec<Value>>)> {
+    let text = |name, stream: u64, biases: &[(u64, u64)]| {
+        let segments = biases
+            .iter()
+            .enumerate()
+            .map(|(k, &(num, den))| {
+                kmp::biased_text(N, mix(seed ^ mix(stream + k as u64)), num, den)
+            })
+            .collect();
+        (name, kmp::drift_module(), segments)
+    };
+    let gate = |name, patterns: &[GatePattern]| {
+        let segments = patterns.iter().map(|&p| gate_tape(N, p)).collect();
+        (name, input_gate_module(), segments)
+    };
+    use GatePattern::{Alternating, Constant};
+    vec![
+        text("kmp-swap", 0, &[(1, 4), (3, 4), (3, 4)]),
+        text("kmp-reverse", 10, &[(3, 4), (1, 4), (1, 4)]),
+        text("kmp-stable", 20, &[(1, 2), (1, 2), (1, 2)]),
+        gate("gate-demote", &[Alternating, Constant(1), Constant(1)]),
+        gate(
+            "gate-reinflate",
+            &[
+                Alternating,
+                Constant(1),
+                Constant(1),
+                Alternating,
+                Alternating,
+            ],
+        ),
+    ]
+}
+
+/// Runs the driver and the reference loop on one scenario and asserts
+/// they observed, decided and shipped exactly the same. Returns whether
+/// an adaptive-layer chaos injection fired.
+fn assert_matches_oracle(
+    name: &str,
+    module: &Module,
+    segments: &[Vec<Value>],
+    config: AdaptiveConfig,
+) -> bool {
+    let r = run_pipeline_adaptive(module, &[], segments, config).unwrap();
+    let o = adaptive_oracle(module, &[], segments, config);
+    let measured: Vec<(u64, u64)> = r
+        .segments
+        .iter()
+        .map(|m| (m.events, m.misprediction_percent.to_bits()))
+        .collect();
+    assert_eq!(measured, o.segments, "{name}: per-segment measurements");
+    assert_eq!(r.patch_log, o.patch_log, "{name}: patch log");
+    assert_eq!(r.respec_diags, o.respec_diags, "{name}: respec diagnostics");
+    assert_eq!(r.enabled_sites, o.enabled_sites, "{name}: enabled sites");
+    assert_eq!(r.demoted_sites, o.demoted_sites, "{name}: demoted sites");
+    assert_eq!(
+        r.quarantined_sites, o.quarantined_sites,
+        "{name}: quarantined sites"
+    );
+    assert!(r.program.module == o.module, "{name}: final module");
+    #[cfg(feature = "chaos")]
+    assert_eq!(
+        r.chaos_injection.as_ref().map(|inj| format!("{inj:?}")),
+        o.injection,
+        "{name}: chaos injection"
+    );
+    o.injection.is_some()
+}
+
+/// The driver simulates each distinct program once and folds through
+/// dense tables; the reference loop re-simulates every segment, scores
+/// by hash probe and copies each slice. Both must agree bit for bit.
+#[test]
+fn adaptive_driver_matches_reference_loop() {
+    for seed in [0, 1] {
+        for (name, module, segments) in drift_scenarios(seed) {
+            let fired = assert_matches_oracle(
+                &format!("{name}/{seed}"),
+                &module,
+                &segments,
+                AdaptiveConfig::default(),
+            );
+            assert!(!fired, "{name}/{seed}: no chaos point is armed");
+        }
+    }
+}
+
+/// The adaptive-layer chaos points through the same differential check:
+/// a forged drift and a post-gate corrupted pin both change what the
+/// patcher sees or ships without changing the simulated program, so the
+/// driver re-scores a reused run where the reference re-simulates.
+#[cfg(feature = "chaos")]
+#[test]
+fn adaptive_driver_matches_reference_loop_under_chaos() {
+    use brepl::core::chaos::{ChaosConfig, ChaosPoint};
+    for point in [ChaosPoint::InjectDrift, ChaosPoint::CorruptPatch] {
+        let mut fired = 0;
+        for seed in [0, 1] {
+            for (name, module, segments) in drift_scenarios(seed) {
+                let mut config = AdaptiveConfig::default();
+                config.pipeline.chaos = Some(ChaosConfig { seed, point });
+                fired += usize::from(assert_matches_oracle(
+                    &format!("{name}/{seed}/{point:?}"),
+                    &module,
+                    &segments,
+                    config,
+                ));
+            }
+        }
+        assert!(fired > 0, "{point:?} never fired");
+    }
+}
+
+/// One full-tape simulation per distinct program: pin swaps keep the
+/// module and provenance, so the kmp scenarios simulate once; a demotion
+/// rebuilds the CFG once more, and a re-inflation once more again.
+#[test]
+fn each_distinct_program_is_simulated_once() {
+    let expected = [
+        ("kmp-swap", 1),
+        ("kmp-reverse", 1),
+        ("kmp-stable", 1),
+        ("gate-demote", 2),
+        ("gate-reinflate", 3),
+    ];
+    for seed in [0, 1] {
+        for ((name, module, segments), (want_name, want)) in
+            drift_scenarios(seed).into_iter().zip(expected)
+        {
+            assert_eq!(name, want_name);
+            let r =
+                run_pipeline_adaptive(&module, &[], &segments, AdaptiveConfig::default()).unwrap();
+            assert_eq!(r.simulated_runs, want, "{name}/{seed}");
+            // Every drift scenario patched, so the reuse path ran.
+            assert_eq!(
+                r.patch_log.is_empty(),
+                name == "kmp-stable",
+                "{name}/{seed}"
+            );
+        }
+    }
+}
 
 /// kmp over text whose bias flips from P('a')=¼ to ¾ after planning.
 /// The closed forms say: before drift ≈ ⅔·¼ = 16.7% misprediction,

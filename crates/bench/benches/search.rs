@@ -1,11 +1,16 @@
 //! Benchmarks (std-only harness): state-machine search cost — the
 //! exhaustive intra-loop antichain search, the exit-chain scoring and the
-//! correlated path selection. These dominate compile-time cost in a
-//! production deployment of the technique.
+//! correlated path profiling and selection. These dominate compile-time
+//! cost in a production deployment of the technique.
+//!
+//! Path profiling is reported per trace event as well, for the library's
+//! automaton and for the trie walk the tests hold it to, on a synthetic
+//! trace and on each workload's small-scale trace with the candidate paths
+//! the pipeline's default 4-state selection profiles.
 
 use std::collections::HashMap;
 
-use brepl_bench::timing::bench_time;
+use brepl_bench::timing::{bench, bench_time};
 use brepl_cfg::PathStep;
 use brepl_core::correlated::profile_paths;
 use brepl_core::intra_loop::IntraLoopSearch;
@@ -13,6 +18,45 @@ use brepl_core::loop_exit::best_exit_machine;
 use brepl_ir::BranchId;
 use brepl_predict::{HistoryKind, PatternTableSet};
 use brepl_trace::{Trace, TraceEvent};
+use brepl_workloads::{all_workloads, Scale};
+
+/// The trie-walk reference profiler and the pipeline's candidate paths.
+#[path = "../../../tests/common/path_profile_oracle.rs"]
+#[allow(dead_code)]
+mod path_profile_oracle;
+
+use path_profile_oracle::{module_candidates, reference_profile_paths};
+
+/// Times path profiling of `trace` by the automaton and by the trie walk,
+/// reporting each as wall time and ns per trace event.
+fn bench_profile_paths(
+    name: &str,
+    trace: &Trace,
+    candidates: &HashMap<BranchId, Vec<Vec<PathStep>>>,
+) {
+    let events = trace.len().max(1) as f64;
+    for (kernel, samples) in [
+        (
+            "",
+            bench(&format!("profile-paths{name}"), || {
+                profile_paths(trace, candidates)
+            }),
+        ),
+        (
+            "/trie-walk",
+            bench(&format!("profile-paths{name}/trie-walk"), || {
+                reference_profile_paths(trace, candidates)
+            }),
+        ),
+    ] {
+        samples.report(None);
+        println!(
+            "{:<44} {:>9.2} ns/event",
+            format!("profile-paths{name}{kernel}"),
+            samples.median().as_nanos() as f64 / events
+        );
+    }
+}
 
 fn periodic_trace(period: usize, n: usize) -> Trace {
     (0..n)
@@ -76,7 +120,14 @@ fn main() {
     );
 
     println!("correlated (50k interleaved events)");
-    bench_time("profile-paths", || profile_paths(&corr, &candidates));
+    bench_profile_paths("", &corr, &candidates);
     let profiles = profile_paths(&corr, &candidates);
     bench_time("greedy-select-4", || profiles[&BranchId(1)].select(4));
+
+    println!("correlated (workload traces, small scale, paths of 3 decisions)");
+    for w in all_workloads(Scale::Small) {
+        let trace = w.run().expect("workloads run").trace;
+        let candidates = module_candidates(&w.module, &trace.stats(), 3);
+        bench_profile_paths(&format!("/{}", w.name), &trace, &candidates);
+    }
 }

@@ -29,16 +29,22 @@ use brepl_workloads::synth::random_loop_module;
 #[path = "../../../../tests/common/replay_oracle.rs"]
 mod replay_oracle;
 
+/// The trie-walk path profiler the integration tests hold
+/// `profile_paths` to.
+#[path = "../../../../tests/common/path_profile_oracle.rs"]
+mod path_profile_oracle;
+
 /// The deterministic config cycle (index = seed % 4), plus the
-/// classification-soundness and estimator-totality oracles that run on
-/// *every* iteration and report under the last two names.
-const VARIANT_NAMES: [&str; 6] = [
+/// classification-soundness, estimator-totality and path-profile oracles
+/// that run on *every* iteration and report under the last three names.
+const VARIANT_NAMES: [&str; 7] = [
     "default",
     "refine-off",
     "strict",
     "growth-budget-1.2",
     "classify-oracle",
     "estimate-oracle",
+    "path-profile-oracle",
 ];
 
 fn variant_config(idx: usize) -> PipelineConfig {
@@ -58,6 +64,9 @@ fn variant_config(idx: usize) -> PipelineConfig {
         _ => PipelineConfig::default(),
     }
 }
+
+/// An oracle check of one `(seed, diamonds, trip)` case.
+type OracleCase = fn(u64, usize, i64) -> Result<(), String>;
 
 /// One fuzz case; `Err` describes the failure (panic text or typed error).
 /// Success with the default/strict configs implies execution equivalence —
@@ -224,6 +233,37 @@ fn estimate_case(seed: u64, diamonds: usize, trip: i64) -> Result<(), String> {
     }
 }
 
+/// Path-profile oracle (variant name `path-profile-oracle`): the same
+/// check as the tier-1 `tests/path_profile.rs` — `profile_paths` over the
+/// module's honest trace equals the trie walk, for the candidate paths of
+/// 2-, 4- and 7-state machines.
+fn path_profile_case(seed: u64, diamonds: usize, trip: i64) -> Result<(), String> {
+    use path_profile_oracle::{module_candidates, reference_profile_paths};
+    let outcome = std::panic::catch_unwind(|| {
+        let m = random_loop_module(seed, diamonds, trip);
+        let trace = brepl_sim::Machine::new(&m, brepl_sim::RunConfig::default())
+            .and_then(|mut machine| machine.run("main", &[]))
+            .map_err(|e| format!("run: {e}"))?
+            .trace;
+        let stats = trace.stats();
+        for max_decisions in [1, 3, 6] {
+            let candidates = module_candidates(&m, &stats, max_decisions);
+            if brepl_core::correlated::profile_paths(&trace, &candidates)
+                != reference_profile_paths(&trace, &candidates)
+            {
+                return Err(format!(
+                    "profile_paths differs from the trie walk for paths of {max_decisions} decisions"
+                ));
+            }
+        }
+        Ok(())
+    });
+    match outcome {
+        Err(payload) => Err(format!("panicked: {}", panic_text(&payload))),
+        Ok(r) => r,
+    }
+}
+
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
@@ -233,13 +273,13 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Greedily shrinks a failing case, reducing `diamonds` first (structure),
-/// then halving `trip` (work), while the failure persists.
-fn shrink(seed: u64, diamonds: usize, trip: i64, config: PipelineConfig) -> (usize, i64) {
+/// then halving `trip` (work), while `fails` still holds.
+fn shrink(diamonds: usize, trip: i64, fails: impl Fn(usize, i64) -> bool) -> (usize, i64) {
     let (mut d, mut t) = (diamonds, trip);
     loop {
-        if d > 0 && pipeline_case(seed, d - 1, t, config).is_err() {
+        if d > 0 && fails(d - 1, t) {
             d -= 1;
-        } else if t > 1 && pipeline_case(seed, d, t / 2, config).is_err() {
+        } else if t > 1 && fails(d, t / 2) {
             t /= 2;
         } else {
             break;
@@ -279,7 +319,9 @@ fn main() {
         let diamonds = (seed % 5) as usize;
         let trip = 20 + (seed % 7) as i64 * 20;
         if let Err(error) = pipeline_case(seed, diamonds, trip, config) {
-            let (sd, st) = shrink(seed, diamonds, trip, config);
+            let (sd, st) = shrink(diamonds, trip, |d, t| {
+                pipeline_case(seed, d, t, config).is_err()
+            });
             if !json_mode {
                 eprintln!(
                     "fuzz failure, minimal repro: seed={seed} diamonds={sd} trip={st} \
@@ -298,67 +340,41 @@ fn main() {
                 error,
             });
         }
-        // The classification-soundness oracle rides along on every
-        // iteration — the pipeline's non-strict gate quarantines rather
-        // than errors, so an unsound verdict needs its own check.
-        if let Err(error) = classify_case(seed, diamonds, trip) {
-            let (mut sd, mut st) = (diamonds, trip);
-            loop {
-                if sd > 0 && classify_case(seed, sd - 1, st).is_err() {
-                    sd -= 1;
-                } else if st > 1 && classify_case(seed, sd, st / 2).is_err() {
-                    st /= 2;
-                } else {
-                    break;
+        // The oracles ride along on every iteration: the pipeline's
+        // non-strict gate quarantines rather than errors, so an unsound
+        // verdict needs its own check; the estimator is always-on, so a
+        // panic or a drift-gate false alarm would poison every run; and a
+        // path profile that differs from the trie walk changes what
+        // selection sees.
+        let oracles: [(usize, &str, OracleCase); 3] = [
+            (4, "classification unsound", classify_case),
+            (5, "estimator broken", estimate_case),
+            (
+                6,
+                "path profile differs from the trie walk",
+                path_profile_case,
+            ),
+        ];
+        for (variant, what, case) in oracles {
+            if let Err(error) = case(seed, diamonds, trip) {
+                let (sd, st) = shrink(diamonds, trip, |d, t| case(seed, d, t).is_err());
+                if !json_mode {
+                    eprintln!(
+                        "{what}, minimal repro: seed={seed} diamonds={sd} \
+                         trip={st} (random_loop_module(seed, diamonds, trip)); \
+                         original failure: {error}"
+                    );
                 }
+                failures.push(Failure {
+                    seed,
+                    variant,
+                    diamonds,
+                    trip,
+                    shrunk_diamonds: sd,
+                    shrunk_trip: st,
+                    error,
+                });
             }
-            if !json_mode {
-                eprintln!(
-                    "classification unsound, minimal repro: seed={seed} diamonds={sd} \
-                     trip={st} (random_loop_module(seed, diamonds, trip)); \
-                     original failure: {error}"
-                );
-            }
-            failures.push(Failure {
-                seed,
-                variant: 4,
-                diamonds,
-                trip,
-                shrunk_diamonds: sd,
-                shrunk_trip: st,
-                error,
-            });
-        }
-        // The estimator-totality oracle also rides along on every
-        // iteration: the estimator is always-on in the pipeline, so a
-        // panic or a drift-gate false alarm would poison every run.
-        if let Err(error) = estimate_case(seed, diamonds, trip) {
-            let (mut sd, mut st) = (diamonds, trip);
-            loop {
-                if sd > 0 && estimate_case(seed, sd - 1, st).is_err() {
-                    sd -= 1;
-                } else if st > 1 && estimate_case(seed, sd, st / 2).is_err() {
-                    st /= 2;
-                } else {
-                    break;
-                }
-            }
-            if !json_mode {
-                eprintln!(
-                    "estimator broken, minimal repro: seed={seed} diamonds={sd} \
-                     trip={st} (random_loop_module(seed, diamonds, trip)); \
-                     original failure: {error}"
-                );
-            }
-            failures.push(Failure {
-                seed,
-                variant: 5,
-                diamonds,
-                trip,
-                shrunk_diamonds: sd,
-                shrunk_trip: st,
-                error,
-            });
         }
         if !json_mode && (i + 1) % 200 == 0 {
             eprintln!(

@@ -61,9 +61,9 @@ fn path_matches(path: &[PathStep], recent: &[(BranchId, bool)]) -> bool {
 /// Per-site profile of path outcomes: for every candidate path, the branch
 /// outcome counts over executions whose longest matching candidate was that
 /// path, plus the catch-all bucket.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathProfile {
-    /// Candidate paths (deduplicated, any order).
+    /// Candidate paths (suffix-closed, sorted, deduplicated).
     candidates: Vec<Vec<PathStep>>,
     /// `chain[g]` lists candidate indices that are suffixes of candidate
     /// `g` (including `g` itself), longest first — when a selected set does
@@ -101,147 +101,184 @@ impl CorrelatedResult {
 /// decision paths (usually from
 /// [`brepl_cfg::PredecessorPaths::enumerate`]); empty paths are ignored
 /// (they denote "no decision", which the catch-all covers).
+///
+/// Every execution of a profiled branch is attributed to the longest
+/// candidate of that branch that is a suffix of the events before it. One
+/// Aho–Corasick automaton over all sites' candidates answers that for
+/// every site at once, so the pass costs one table transition per event
+/// plus one table lookup and one counter bump per profiled execution.
 pub fn profile_paths(
     trace: &Trace,
     candidates_by_site: &HashMap<BranchId, Vec<Vec<PathStep>>>,
 ) -> HashMap<BranchId, PathProfile> {
-    let mut sites: Vec<BranchId> = Vec::with_capacity(candidates_by_site.len());
-    let mut profiles: Vec<PathProfile> = Vec::with_capacity(candidates_by_site.len());
-    let mut max_len = 0usize;
-    for (&site, cands) in candidates_by_site {
-        let candidates: Vec<Vec<PathStep>> = {
-            // Suffix-closure: every non-empty suffix of a candidate is a
-            // candidate too. Path enumeration caps its output on dense
-            // CFGs; without the closure a deeper enumeration could *lose*
-            // the short paths a shallow one found, making more states
-            // perform worse than fewer.
-            let mut c: Vec<Vec<PathStep>> = Vec::new();
-            for p in cands {
-                for start in 0..p.len() {
-                    c.push(p[start..].to_vec());
-                }
-            }
-            c.retain(|p| !p.is_empty());
-            c.sort();
-            c.dedup();
-            c
-        };
-        max_len = max_len.max(candidates.iter().map(Vec::len).max().unwrap_or(0));
-        let chain = suffix_chains(&candidates);
-        let n = candidates.len();
-        sites.push(site);
-        profiles.push(PathProfile {
-            candidates,
-            chain,
-            group_counts: vec![SiteCounts::default(); n],
-            unmatched: SiteCounts::default(),
-            total: 0,
-        });
-    }
-
-    // Dense site -> profile index, so the per-event dispatch below is an
-    // array load rather than a hash lookup.
-    let n_sites = sites.iter().map(|s| s.index() + 1).max().unwrap_or(0);
-    let mut of_site: Vec<Option<usize>> = vec![None; n_sites];
-    for (i, site) in sites.iter().enumerate() {
-        of_site[site.index()] = Some(i);
-    }
-
-    // One reversed-path trie per profile: the longest-match scan walks the
-    // recent events newest-first through the trie, and the deepest terminal
-    // seen is the longest matching candidate (candidates are deduplicated,
-    // so two matches cannot share a length). This replaces the per-event
-    // scan over every candidate.
-    let tries: Vec<PathTrie> = profiles
+    let (sites, mut profiles): (Vec<BranchId>, Vec<PathProfile>) = candidates_by_site
         .iter()
-        .map(|p| PathTrie::build(&p.candidates))
-        .collect();
-
-    // Ring buffer of the most recent events (packed as
-    // `site << 1 | taken`, the trace's own encoding): `count` valid
-    // entries, the next write landing at `next`. Replaces a front-popped
-    // Vec — same logical window, no per-event memmove. The capacity is
-    // rounded up to a power of two so the wrap is a mask, not a divide;
-    // the trie is at most `max_len` deep, so the walk below can never
-    // observe the extra slots.
-    let cap = max_len.max(1).next_power_of_two();
-    let mask = cap - 1;
-    let mut ring: Vec<u32> = vec![0; cap];
-    let mut count = 0usize;
-    let mut next = 0usize;
-    for &packed in trace.packed() {
-        let site = BranchId(packed >> 1);
-        let taken = packed & 1 == 1;
-        if let Some(i) = of_site.get(site.index()).copied().flatten() {
-            let profile = &mut profiles[i];
-            let trie = &tries[i];
-            profile.total += 1;
-            let mut best: Option<usize> = None;
-            let mut node = 0usize;
-            for age in 0..count {
-                let key = ring[(next + cap - 1 - age) & mask];
-                match trie.edges[node].iter().find(|&&(k, _)| k == key) {
-                    Some(&(_, child)) => {
-                        node = child;
-                        if let Some(gi) = trie.terminal[node] {
-                            best = Some(gi);
-                        }
-                    }
-                    None => break,
-                }
-            }
-            let bucket = match best {
-                Some(gi) => &mut profile.group_counts[gi],
-                None => &mut profile.unmatched,
-            };
-            if taken {
-                bucket.taken += 1;
-            } else {
-                bucket.not_taken += 1;
-            }
-        }
-        if max_len > 0 {
-            ring[next] = packed;
-            next = (next + 1) & mask;
-            count = (count + 1).min(cap);
-        }
+        .map(|(&site, paths)| (site, PathProfile::new(paths)))
+        .unzip();
+    let automaton = PathAutomaton::build(&sites, &profiles);
+    let counts = automaton.count(trace);
+    for (p, profile) in profiles.iter_mut().enumerate() {
+        let slots = &counts[automaton.base[p]..][..=profile.candidates.len()];
+        let (groups, unmatched) = slots.split_at(profile.candidates.len());
+        profile.group_counts = groups.to_vec();
+        profile.unmatched = unmatched[0];
+        profile.total = slots.iter().map(SiteCounts::total).sum();
     }
     sites.into_iter().zip(profiles).collect()
 }
 
-/// A trie over candidate paths keyed newest-event-first: the edge out of
-/// the root consumes the most recent event, deeper edges consume older
-/// ones. Node 0 is the root; `terminal[n]` holds the candidate index whose
-/// reversed path ends at node `n`.
-struct PathTrie {
-    edges: Vec<Vec<(u32, usize)>>,
-    terminal: Vec<Option<usize>>,
+/// Marks an absent profile or a not-yet-defined trie edge.
+const NONE: u32 = u32::MAX;
+
+/// An Aho–Corasick automaton over the candidate paths of every profiled
+/// site, reading the trace forward in its own `site << 1 | taken` words.
+///
+/// After each event the state is the longest prefix of some candidate
+/// that is a suffix of the events so far. Every candidate that is a
+/// suffix of the events is then a suffix of the state's string, so the
+/// longest matching candidate of each site is a function of the state
+/// alone and is tabulated in `best`.
+struct PathAutomaton {
+    /// `class[word]` for every trace word below its length: the word's
+    /// dense symbol (0 = in no candidate) and the profile index of its
+    /// site (`NONE` = not profiled). Longer words are `(0, NONE)`.
+    class: Vec<(u32, u32)>,
+    symbols: usize,
+    /// `delta[state * symbols + symbol]`: the total transition function.
+    delta: Vec<u32>,
+    profiles: usize,
+    /// `best[state * profiles + p]`: the counter slot of the longest
+    /// candidate of profile `p` that is a suffix of the state's string,
+    /// or `p`'s unmatched slot.
+    best: Vec<u32>,
+    /// Profile `p` counts candidate `g` in slot `base[p] + g` and its
+    /// unmatched executions in slot `base[p] + candidates.len()`.
+    base: Vec<usize>,
+    slots: usize,
 }
 
-impl PathTrie {
-    fn build(candidates: &[Vec<PathStep>]) -> Self {
-        let mut trie = PathTrie {
-            edges: vec![Vec::new()],
-            terminal: vec![None],
-        };
-        for (gi, path) in candidates.iter().enumerate() {
-            let mut node = 0usize;
-            for step in path.iter().rev() {
-                let key = (step.site.index() as u32) << 1 | u32::from(step.taken);
-                node = match trie.edges[node].iter().find(|&&(k, _)| k == key) {
-                    Some(&(_, child)) => child,
-                    None => {
-                        let child = trie.edges.len();
-                        trie.edges[node].push((key, child));
-                        trie.edges.push(Vec::new());
-                        trie.terminal.push(None);
-                        child
-                    }
-                };
-            }
-            trie.terminal[node] = Some(gi);
+impl PathAutomaton {
+    fn build(sites: &[BranchId], profiles: &[PathProfile]) -> Self {
+        let word = |s: &PathStep| (s.site.index() as u32) << 1 | u32::from(s.taken);
+
+        // Dense symbols, in word order, for the words candidates use.
+        let mut words: Vec<u32> = profiles
+            .iter()
+            .flat_map(|p| p.candidates.iter().flatten().map(word))
+            .collect();
+        words.sort_unstable();
+        words.dedup();
+        let symbols = words.len() + 1;
+        let class_len = words
+            .last()
+            .map_or(0, |&w| w as usize + 1)
+            .max(sites.iter().map(|s| 2 * s.index() + 2).max().unwrap_or(0));
+        let mut class = vec![(0u32, NONE); class_len];
+        for (i, &w) in words.iter().enumerate() {
+            class[w as usize].0 = i as u32 + 1;
         }
-        trie
+        for (p, site) in sites.iter().enumerate() {
+            for taken in 0..2 {
+                class[2 * site.index() + taken].1 = p as u32;
+            }
+        }
+
+        // The goto trie over all candidates; `terminals[s]` lists the
+        // (profile, candidate) pairs whose path is the string of `s`.
+        let mut delta = vec![NONE; symbols];
+        let mut terminals: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
+        for (p, profile) in profiles.iter().enumerate() {
+            for (g, path) in profile.candidates.iter().enumerate() {
+                let mut state = 0usize;
+                for step in path {
+                    let at = state * symbols + class[word(step) as usize].0 as usize;
+                    if delta[at] == NONE {
+                        delta[at] = terminals.len() as u32;
+                        delta.resize(delta.len() + symbols, NONE);
+                        terminals.push(Vec::new());
+                    }
+                    state = delta[at] as usize;
+                }
+                terminals[state].push((p, g));
+            }
+        }
+
+        // Breadth-first completion: a missing edge follows the failure
+        // state's edge, and a state's best row is its failure state's row
+        // overridden by the candidates ending exactly at the state (the
+        // failure state is the longest proper suffix in the trie, so it
+        // already holds every shorter match).
+        let n_profiles = profiles.len();
+        let mut base = Vec::with_capacity(n_profiles);
+        let mut slots = 0usize;
+        for profile in profiles {
+            base.push(slots);
+            slots += profile.candidates.len() + 1;
+        }
+        let mut best = vec![0u32; terminals.len() * n_profiles];
+        for (p, profile) in profiles.iter().enumerate() {
+            best[p] = (base[p] + profile.candidates.len()) as u32;
+        }
+        let mut fail = vec![0u32; terminals.len()];
+        let mut queue: Vec<u32> = Vec::with_capacity(terminals.len());
+        for edge in &mut delta[..symbols] {
+            if *edge == NONE {
+                *edge = 0;
+            } else {
+                queue.push(*edge);
+            }
+        }
+        let mut head = 0;
+        while let Some(&s) = queue.get(head) {
+            head += 1;
+            let s = s as usize;
+            let f = fail[s] as usize;
+            best.copy_within(f * n_profiles..(f + 1) * n_profiles, s * n_profiles);
+            for &(p, g) in &terminals[s] {
+                best[s * n_profiles + p] = (base[p] + g) as u32;
+            }
+            for sym in 0..symbols {
+                let via_fail = delta[f * symbols + sym];
+                let at = s * symbols + sym;
+                if delta[at] == NONE {
+                    delta[at] = via_fail;
+                } else {
+                    fail[delta[at] as usize] = via_fail;
+                    queue.push(delta[at]);
+                }
+            }
+        }
+
+        PathAutomaton {
+            class,
+            symbols,
+            delta,
+            profiles: n_profiles,
+            best,
+            base,
+            slots,
+        }
+    }
+
+    /// Runs the trace through the automaton and returns the outcome counts
+    /// per slot (see `base`).
+    fn count(&self, trace: &Trace) -> Vec<SiteCounts> {
+        let mut counts = vec![SiteCounts::default(); self.slots];
+        let mut state = 0usize;
+        for &w in trace.packed() {
+            let (symbol, profile) = self.class.get(w as usize).copied().unwrap_or((0, NONE));
+            if profile != NONE {
+                let slot = self.best[state * self.profiles + profile as usize];
+                let bucket = &mut counts[slot as usize];
+                if w & 1 == 1 {
+                    bucket.taken += 1;
+                } else {
+                    bucket.not_taken += 1;
+                }
+            }
+            state = self.delta[state * self.symbols + symbol as usize] as usize;
+        }
+        counts
     }
 }
 
@@ -266,6 +303,55 @@ fn suffix_chains(candidates: &[Vec<PathStep>]) -> Vec<Vec<usize>> {
 }
 
 impl PathProfile {
+    /// An empty profile over `paths` and every non-empty suffix of them,
+    /// sorted and deduplicated.
+    ///
+    /// Suffix-closure: path enumeration caps its output on dense CFGs;
+    /// without the closure a deeper enumeration could *lose* the short
+    /// paths a shallow one found, making more states perform worse than
+    /// fewer.
+    pub fn new(paths: &[Vec<PathStep>]) -> Self {
+        let mut candidates: Vec<Vec<PathStep>> = paths
+            .iter()
+            .flat_map(|p| (0..p.len()).map(move |start| p[start..].to_vec()))
+            .collect();
+        candidates.sort();
+        candidates.dedup();
+        let chain = suffix_chains(&candidates);
+        PathProfile {
+            group_counts: vec![SiteCounts::default(); candidates.len()],
+            candidates,
+            chain,
+            unmatched: SiteCounts::default(),
+            total: 0,
+        }
+    }
+
+    /// The candidate paths (execution order within each path), in the
+    /// order [`PathProfile::record`] indexes them.
+    pub fn candidates(&self) -> &[Vec<PathStep>] {
+        &self.candidates
+    }
+
+    /// Counts one execution whose longest matching candidate is
+    /// `candidates()[g]`, or that matched none (`None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn record(&mut self, longest_match: Option<usize>, taken: bool) {
+        let bucket = match longest_match {
+            Some(g) => &mut self.group_counts[g],
+            None => &mut self.unmatched,
+        };
+        if taken {
+            bucket.taken += 1;
+        } else {
+            bucket.not_taken += 1;
+        }
+        self.total += 1;
+    }
+
     /// Total profiled executions.
     pub fn total(&self) -> u64 {
         self.total

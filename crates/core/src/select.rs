@@ -9,7 +9,7 @@ use brepl_analysis::{BiasEstimate, Classification, DirectionClass, StaticProfile
 use brepl_cfg::{BranchClass, Cfg, ClassifiedBranches, DomTree, LoopForest, PredecessorPaths};
 use brepl_ir::{BranchId, Module};
 use brepl_predict::{HistoryKind, PatternTable, PatternTableSet};
-use brepl_trace::{packed_site_streams, PackedStream, SiteCounts, Trace, TraceEvent};
+use brepl_trace::{packed_site_streams, PackedStream, SiteCounts, Trace, TraceEvent, TraceStats};
 
 use crate::correlated::{profile_paths, CorrelatedMachine, PathProfile};
 use crate::engine;
@@ -182,7 +182,16 @@ pub fn select_strategies_with_threads(
         module.fingerprint(),
         trace.fingerprint(),
         max_states,
-        || select_uncached(module, trace, max_states, threads, &HashSet::new()),
+        || {
+            select_uncached(
+                module,
+                trace,
+                &trace.stats(),
+                max_states,
+                threads,
+                &HashSet::new(),
+            )
+        },
     );
     (*cached).clone()
 }
@@ -210,17 +219,39 @@ pub fn select_strategies_classified(
     max_states: usize,
     classification: Option<&Classification>,
 ) -> (Selection, usize) {
+    select_strategies_with_stats(module, trace, &trace.stats(), max_states, classification)
+}
+
+/// [`select_strategies_classified`] for a caller that already counted the
+/// trace: `stats` must be `trace.stats()`. The pipeline counts its
+/// profiling trace once and hands the same counts to every stage.
+///
+/// # Panics
+///
+/// Panics unless `2 <= max_states <= 10`.
+pub fn select_strategies_with_stats(
+    module: &Module,
+    trace: &Trace,
+    stats: &TraceStats,
+    max_states: usize,
+    classification: Option<&Classification>,
+) -> (Selection, usize) {
     assert!(
         (2..=10).contains(&max_states),
         "max_states must be in 2..=10"
     );
-    let skip = fast_path_sites(trace, classification);
+    debug_assert_eq!(
+        stats.total_events(),
+        trace.len() as u64,
+        "stats of another trace"
+    );
+    let skip = fast_path_sites(stats, classification);
     let threads = engine::thread_count();
     let cached = memo::lookup_or_compute_selection(
         module.fingerprint(),
         trace.fingerprint(),
         max_states,
-        || select_uncached(module, trace, max_states, threads, &skip),
+        || select_uncached(module, trace, stats, max_states, threads, &skip),
     );
     ((*cached).clone(), skip.len())
 }
@@ -317,12 +348,14 @@ pub fn select_strategies_estimated(
 /// skip — `profile_misses == 0` makes the Profile choice unbeatable — so
 /// even a proof contradicted by a (forged) trace never changes the
 /// selection, only the BR013 gate's verdict.
-fn fast_path_sites(trace: &Trace, classification: Option<&Classification>) -> HashSet<BranchId> {
+fn fast_path_sites(
+    stats: &TraceStats,
+    classification: Option<&Classification>,
+) -> HashSet<BranchId> {
     let mut skip = HashSet::new();
     let Some(cls) = classification else {
         return skip;
     };
-    let stats = trace.stats();
     for sc in &cls.sites {
         if !matches!(sc.class, DirectionClass::ProvedMonostatic(_)) {
             continue;
@@ -336,24 +369,25 @@ fn fast_path_sites(trace: &Trace, classification: Option<&Classification>) -> Ha
 }
 
 /// The selection search proper — everything below the whole-selection
-/// memo. Pure in `(module, trace, max_states)`; `threads` only changes
+/// memo. Pure in `(module, trace, max_states)` (`stats` is
+/// `trace.stats()`); `threads` only changes
 /// wall-clock, and `skip` (sites with a unanimous profile, per
 /// [`fast_path_sites`]) only changes how the Profile choice for those
 /// sites is *reached*, never what it is.
 fn select_uncached(
     module: &Module,
     trace: &Trace,
+    stats: &TraceStats,
     max_states: usize,
     threads: usize,
     skip: &HashSet<BranchId>,
 ) -> Selection {
-    let stats = trace.stats();
     let tables = PatternTableSet::build(trace, HistoryKind::Local, 9);
     let search = IntraLoopSearch::new(max_states, 9);
 
     // Packed per-site outcome streams, built once for the whole selection:
     // machine candidates are scored on these word-at-a-time.
-    let outcomes = packed_site_streams(trace, &stats);
+    let outcomes = packed_site_streams(trace, stats);
     let no_outcomes = PackedStream::new();
 
     // Candidate decision paths for every executed branch ("a maximum path
@@ -889,13 +923,14 @@ mod tests {
 
         let t = trace_of(&m, 50);
         let cls = brepl_analysis::classify_module(&m);
-        let skip = fast_path_sites(&t, Some(&cls));
+        let stats = t.stats();
+        let skip = fast_path_sites(&stats, Some(&cls));
         assert_eq!(skip.len(), 1);
         assert!(skip.contains(&BranchId(1)));
 
         // Call below the memo so both paths genuinely run the search.
-        let plain = select_uncached(&m, &t, 4, 1, &HashSet::new());
-        let fast = select_uncached(&m, &t, 4, 1, &skip);
+        let plain = select_uncached(&m, &t, &stats, 4, 1, &HashSet::new());
+        let fast = select_uncached(&m, &t, &stats, 4, 1, &skip);
         assert_eq!(plain, fast, "fast path must be bit-identical");
 
         let (via_api, skips) = select_strategies_classified(&m, &t, 4, Some(&cls));

@@ -19,7 +19,7 @@ use brepl_analysis::{
 };
 use brepl_core::replicate::ReplicateError;
 use brepl_core::{
-    apply_plan, check_equivalence_outcomes, select_strategies_classified, synthesize_profile_trace,
+    apply_plan, check_equivalence_outcomes, select_strategies_with_stats, synthesize_profile_trace,
     BranchMachine, ReplicatedProgram, Selection,
 };
 use brepl_ir::{BranchId, Module, Value};
@@ -430,8 +430,23 @@ pub fn run_pipeline_profiled(
     profile_output: &[Value],
     config: PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
+    let stats = profile.trace.stats();
+    run_pipeline_counted(module, args, input, profile, profile_output, &stats, config)
+}
+
+/// [`run_pipeline_profiled`] with the profiling trace already counted:
+/// `stats` must be `profile.trace.stats()`. Every stage reads these
+/// counts, so the trace is counted once per pipeline call.
+fn run_pipeline_counted(
+    module: &Module,
+    args: &[Value],
+    input: &[Value],
+    profile: &brepl_sim::Outcome,
+    profile_output: &[Value],
+    stats: &brepl_trace::TraceStats,
+    config: PipelineConfig,
+) -> Result<PipelineResult, PipelineError> {
     let outcome = profile;
-    let stats = outcome.trace.stats();
     let profile_pct = stats.profile_misprediction_percent();
 
     // 1b. Static direction classification: SCCP over intervals plus
@@ -465,7 +480,7 @@ pub fn run_pipeline_profiled(
         classification.as_ref()
     };
     let (selection, planner_skips) =
-        select_strategies_classified(module, &outcome.trace, config.max_states, fast_path);
+        select_strategies_with_stats(module, &outcome.trace, stats, config.max_states, fast_path);
     let mut enabled: BTreeSet<BranchId> = match config.max_size_growth {
         None => selection
             .choices()
@@ -514,7 +529,7 @@ pub fn run_pipeline_profiled(
         // module, witness and machine tables honest — BR019 must catch
         // it while BR001–BR018 stay blind.
         if let Some(profile) = &mut static_profile {
-            eng.forge_static_profile(profile, &stats);
+            eng.forge_static_profile(profile, stats);
         }
         let candidates: Vec<BranchId> = enabled.iter().copied().collect();
         eng.pin_victim(&candidates);
@@ -554,9 +569,9 @@ pub fn run_pipeline_profiled(
     if let Some(cls) = &classification {
         let diags = {
             #[cfg(feature = "chaos")]
-            let gate_stats = gate_stats_override.as_ref().unwrap_or(&stats);
+            let gate_stats = gate_stats_override.as_ref().unwrap_or(stats);
             #[cfg(not(feature = "chaos"))]
-            let gate_stats = &stats;
+            let gate_stats = stats;
             classification_diags(module, cls, gate_stats)
         };
         let (errors, warns) = config.lint.partition(diags);
@@ -628,9 +643,9 @@ pub fn run_pipeline_profiled(
     {
         let diags = {
             #[cfg(feature = "chaos")]
-            let gate_stats = gate_stats_override.as_ref().unwrap_or(&stats);
+            let gate_stats = gate_stats_override.as_ref().unwrap_or(stats);
             #[cfg(not(feature = "chaos"))]
-            let gate_stats = &stats;
+            let gate_stats = stats;
             static_profile_diags(module, cls, profile, gate_stats)
         };
         let (errors, warns) = config.lint.partition(diags);
@@ -707,7 +722,7 @@ pub fn run_pipeline_profiled(
             }
         }
         #[allow(unused_mut)]
-        let mut program = match apply_plan(module, &plan, &stats) {
+        let mut program = match apply_plan(module, &plan, stats) {
             Ok(p) => p,
             Err(e) => {
                 if config.strict || enabled.is_empty() {
@@ -1261,12 +1276,13 @@ pub fn run_pipeline_adaptive(
         }
         engine
     };
-    let plan = run_pipeline_profiled(
+    let plan = run_pipeline_counted(
         module,
         args,
         &segments[0],
         &profile,
         &profile_output,
+        &plan_stats,
         plan_config,
     )?;
 

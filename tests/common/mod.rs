@@ -13,4 +13,6 @@ pub use brepl_workloads::synth::{random_loop_module, Gen};
 #[allow(dead_code)]
 pub mod adaptive_oracle;
 #[allow(dead_code)]
+pub mod path_profile_oracle;
+#[allow(dead_code)]
 pub mod replay_oracle;
